@@ -14,6 +14,12 @@ go vet ./...
 go build ./...
 go test -race -short ./...
 
+# Benchmark module: perfbench is a nested module (it imports this one
+# through a replace), so the root `go build ./...` never compiles it. Vet
+# and test it here, so an API change that breaks the benchmark fails CI
+# instead of the benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race
 # detector, time-boxed so a hung run fails fast instead of stalling CI.

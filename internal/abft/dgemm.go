@@ -327,52 +327,19 @@ func (d *DGEMM) VerifyFull() error {
 	return d.locateAndFix(rowBad, rowDelta, colBad, colDelta)
 }
 
-// locateAndFix maps row/column checksum mismatches to corrupted elements
-// and repairs every correctable pattern (§2.1); both the two-pass sweep and
-// the fused online check feed it the same delta convention.
+// locateAndFix repairs every element locate pins down, rebuilding each
+// from the intact line the locator names; both the two-pass sweep and the
+// fused online check feed it the same delta convention.
 func (d *DGEMM) locateAndFix(rowBad []int, rowDelta []float64, colBad []int, colDelta []float64) error {
-	switch {
-	case len(rowBad) == 0 && len(colBad) == 0:
-		return nil
-	case len(rowBad) == 1 && len(colBad) >= 1:
-		// All corruptions on one row: rebuild each flagged element from
-		// its intact column.
-		r := rowBad[0]
-		for _, c := range colBad {
-			d.fixFromColumn(r, c)
+	fixes, err := locate(rowBad, rowDelta, colBad, colDelta, 10*d.Tol, 0)
+	for _, f := range fixes {
+		if f.FromRow {
+			d.fixFromRow(f.Row, f.Col)
+		} else {
+			d.fixFromColumn(f.Row, f.Col)
 		}
-		return nil
-	case len(colBad) == 1 && len(rowBad) >= 1:
-		c := colBad[0]
-		for _, r := range rowBad {
-			d.fixFromRow(r, c)
-		}
-		return nil
-	case len(rowBad) == len(colBad):
-		// Pair row and column mismatches by magnitude; distinct
-		// rows/columns each carry a single error.
-		used := make([]bool, len(colBad))
-		for ri, r := range rowBad {
-			best, bestDiff := -1, math.Inf(1)
-			for ci := range colBad {
-				if used[ci] {
-					continue
-				}
-				if diff := math.Abs(math.Abs(rowDelta[ri]) - math.Abs(colDelta[ci])); diff < bestDiff {
-					best, bestDiff = ci, diff
-				}
-			}
-			if best < 0 || bestDiff > d.Tol*10 {
-				return fmt.Errorf("%w: unmatchable row/column deltas", ErrUncorrectable)
-			}
-			used[best] = true
-			d.fixFromRow(r, colBad[best])
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: %d corrupted rows, %d corrupted columns",
-			ErrUncorrectable, len(rowBad), len(colBad))
 	}
+	return err
 }
 
 // fixFromRow rebuilds Cf[r][c] from row r's other elements.

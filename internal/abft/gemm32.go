@@ -23,7 +23,7 @@ import (
 //
 // so corruption of either operand, of the float32 product path, or of
 // previously written C desynchronizes at least one side. The fused float32
-// kernel (mat.MulAddIntoFused32) folds the actual output's row/column sums
+// kernel (mat.MulAddIntoFused) folds the actual output's row/column sums
 // (and absolute sums, the adaptive bound's magnitude input) at writeback,
 // and the panel-boundary comparison uses LineBound32 — per-line, per-run
 // adaptive. Detected result faults are repaired in place with a
@@ -65,8 +65,9 @@ type GEMM32 struct {
 	aMom, bMom mat.Moments
 	kAcc       int
 
-	fs   mat.FusedSums32
-	abuf []float64 // backing for per-panel ASums/BSums (len 2·Block)
+	fs       mat.FusedSums
+	panelMom [2]mat.Moments // the fused kernel's per-panel A and B statistics
+	abuf     []float64      // backing for per-panel ASums/BSums (len 2·Block)
 }
 
 // maxRepairRounds bounds the repair→refold→reverify loop at one panel
@@ -118,9 +119,10 @@ func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
 	}
 	g.rowCk = make([]float64, g.M)
 	g.colCk = make([]float64, g.N)
-	g.fs = mat.FusedSums32{
+	g.fs = mat.FusedSums{
 		RowSums: make([]float64, g.M), ColSums: make([]float64, g.N),
 		AbsRowSums: make([]float64, g.M), AbsColSums: make([]float64, g.N),
+		AMoments: &g.panelMom[0], BMoments: &g.panelMom[1],
 	}
 	g.abuf = make([]float64, 2*g.Block)
 	return g, nil
@@ -158,10 +160,10 @@ func (g *GEMM32) Run() error {
 		g.maintain(kk, kMax)
 		g.fs.ASums = g.abuf[:kb]
 		g.fs.BSums = g.abuf[g.Block : g.Block+kb]
-		mat.MulAddIntoFused32(g.C,
+		mat.MulAddIntoFused(g.C,
 			g.A.View(0, kk, g.M, kb), g.B.View(kk, 0, kb, g.N), &g.fs)
-		g.aMom.Merge(g.fs.AMoments)
-		g.bMom.Merge(g.fs.BMoments)
+		g.aMom.Merge(g.panelMom[0])
+		g.bMom.Merge(g.panelMom[1])
 		g.kAcc += kb
 		if err := g.verifyPanel(panel, kk, kb); err != nil {
 			return err
@@ -252,51 +254,23 @@ func (g *GEMM32) scanLines(maintained, folded, absSums []float64, lineLen int) (
 	return bad, deltas
 }
 
-// locateAndFix32 maps line mismatches to corrupted elements and repairs
-// every correctable pattern — the same case analysis as the float64
-// locateAndFix, with the magnitude pairing tolerance derived from the
+// locateAndFix32 repairs every element locate pins down by its line's
+// float64 delta, with the magnitude pairing tolerance derived from the
 // adaptive bounds instead of a fixed Tol.
 func (g *GEMM32) locateAndFix32(panel int, rowBad []int, rowDelta []float64, colBad []int, colDelta []float64) error {
-	switch {
-	case len(rowBad) == 1 && len(colBad) >= 1:
-		r := rowBad[0]
-		for i, c := range colBad {
-			g.applyFix(r, c, colDelta[i])
-		}
-		return nil
-	case len(colBad) == 1 && len(rowBad) >= 1:
-		c := colBad[0]
-		for i, r := range rowBad {
-			g.applyFix(r, c, rowDelta[i])
-		}
-		return nil
-	case len(rowBad) == len(colBad):
-		// Pair row and column mismatches by magnitude; distinct rows and
-		// columns each carry a single error.
-		pairTol := 10 * (LineBound32(g.kAcc, g.N, g.fs.AbsRowSums[rowBad[0]], g.aMom, g.bMom) +
+	pairTol := 0.0
+	if len(rowBad) > 0 && len(colBad) > 0 {
+		pairTol = 10 * (LineBound32(g.kAcc, g.N, g.fs.AbsRowSums[rowBad[0]], g.aMom, g.bMom) +
 			LineBound32(g.kAcc, g.M, g.fs.AbsColSums[colBad[0]], g.aMom, g.bMom))
-		used := make([]bool, len(colBad))
-		for ri, r := range rowBad {
-			best, bestDiff := -1, math.Inf(1)
-			for ci := range colBad {
-				if used[ci] {
-					continue
-				}
-				if diff := math.Abs(math.Abs(rowDelta[ri]) - math.Abs(colDelta[ci])); diff < bestDiff {
-					best, bestDiff = ci, diff
-				}
-			}
-			if best < 0 || (bestDiff > pairTol && bestDiff > 1e-6*math.Abs(rowDelta[ri])) {
-				return fmt.Errorf("%w: f32 check at panel %d: unmatchable row/column deltas", ErrUncorrectable, panel)
-			}
-			used[best] = true
-			g.applyFix(r, colBad[best], rowDelta[ri])
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: f32 check at panel %d: %d corrupted rows, %d corrupted columns",
-			ErrUncorrectable, panel, len(rowBad), len(colBad))
 	}
+	fixes, err := locate(rowBad, rowDelta, colBad, colDelta, pairTol, 1e-6)
+	for _, f := range fixes {
+		g.applyFix(f.Row, f.Col, f.Delta)
+	}
+	if err != nil {
+		return fmt.Errorf("f32 check at panel %d: %w", panel, err)
+	}
+	return nil
 }
 
 // applyFix repairs C[r][c] by the float64 line delta (true − computed),
@@ -333,11 +307,17 @@ func (g *GEMM32) refold() {
 	}
 }
 
-// CheckResult verifies the final product against a float64 reference under
-// the per-element adaptive bound (test/oracle helper; O(M·K·N)).
-func (g *GEMM32) CheckResult() error {
+// CheckResult verifies the final product against a float64 reference
+// computed from the run's own operands (test/oracle helper; O(M·K·N)).
+func (g *GEMM32) CheckResult() error { return g.CheckAgainst(g.A, g.B) }
+
+// CheckAgainst verifies the final product against float64 a·b (M×K and
+// K×N) under the per-element adaptive bound (O(M·K·N)): the oracle for
+// callers holding pristine operands, since the run's own may carry injected
+// corruption.
+func (g *GEMM32) CheckAgainst(a, b *mat.Matrix32) error {
 	ref := mat.New(g.M, g.N)
-	mat.MulAddInto(ref, g.A.To64(), g.B.To64())
+	mat.MulAddInto(ref, a.To64(), b.To64())
 	for i := 0; i < g.M; i++ {
 		row := g.C.Row(i)
 		refRow := ref.Row(i)

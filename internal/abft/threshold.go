@@ -17,7 +17,7 @@ import (
 // faults of low-magnitude operands (silent misses). Following V-ABFT
 // (PAPERS.md), the bound is instead derived per run from operand
 // variance/magnitude statistics the packing pass gathers for free
-// (mat.Moments, mat.FusedSums32).
+// (mat.Moments, mat.FusedSums).
 //
 // Derivation (DESIGN.md §9 has the long form). Each float32 output element
 // after kAcc accumulated products carries rounding error at most

@@ -15,7 +15,7 @@ func sumTol(m, k, n int) float64 {
 
 // refSums derives every checksum with plain scalar sweeps over the final
 // operands and result.
-func refSums(c, a, b *Matrix) *FusedSums {
+func refSums[T Float](c, a, b *Dense[T]) *FusedSums {
 	fs := &FusedSums{
 		RowSums: make([]float64, c.Rows),
 		ColSums: make([]float64, c.Cols),
@@ -24,18 +24,18 @@ func refSums(c, a, b *Matrix) *FusedSums {
 	}
 	for i := 0; i < c.Rows; i++ {
 		for j := 0; j < c.Cols; j++ {
-			fs.RowSums[i] += c.At(i, j)
-			fs.ColSums[j] += c.At(i, j)
+			fs.RowSums[i] += float64(c.At(i, j))
+			fs.ColSums[j] += float64(c.At(i, j))
 		}
 	}
 	for i := 0; i < a.Rows; i++ {
 		for k := 0; k < a.Cols; k++ {
-			fs.ASums[k] += a.At(i, k)
+			fs.ASums[k] += float64(a.At(i, k))
 		}
 	}
 	for k := 0; k < b.Rows; k++ {
 		for j := 0; j < b.Cols; j++ {
-			fs.BSums[k] += b.At(k, j)
+			fs.BSums[k] += float64(b.At(k, j))
 		}
 	}
 	return fs
@@ -53,8 +53,7 @@ func sumsClose(t *testing.T, name string, got, want []float64, tol float64) {
 
 // TestMulAddIntoFusedBitExact is the fused path's determinism contract: c
 // must be bit-identical to the naive loop (hence to MulAddInto) across odd
-// shapes, strided views, and parallelism 1/2/8, at both micro-tile heights,
-// while the fused checksums agree with reference sweeps to roundoff.
+// shapes, strided views, and parallelism 1/2/8, while the fused checksums agree with reference sweeps to roundoff.
 func TestMulAddIntoFusedBitExact(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 7}, {17, 31, 13}, {64, 64, 64},
@@ -98,120 +97,85 @@ func TestMulAddIntoFusedBitExact(t *testing.T) {
 	}
 }
 
-// TestGemmPackedTile4BitExact pins the 4×4 tile (plain and fused) to the
-// same bit-exactness contract as the default 2×4, driving the packed path
-// directly so the size dispatch cannot route around it.
-func TestGemmPackedTile4BitExact(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {4, 8, 4}, {7, 9, 6}, {17, 300, 13}, {65, 127, 33}, {100, 100, 100},
-	}
-	for _, sh := range shapes {
-		a := Random(sh.m, sh.k, uint64(sh.m+sh.k))
-		b := Random(sh.k, sh.n, uint64(sh.k+sh.n))
-		c0 := Random(sh.m, sh.n, 11)
-		want := c0.Clone()
-		naiveMulAdd(want, a, b)
-		wantSums := refSums(want, a, b)
-		tol := sumTol(sh.m, sh.k, sh.n)
-
-		got := c0.Clone()
-		gemmPackedTile(got, a, b, 1, false, 4, nil)
-		if !bitEqual(got, want) {
-			t.Errorf("%dx%dx%d: 4x4 tile differs from naive loop (max diff %g)",
-				sh.m, sh.k, sh.n, maxDiff(got, want))
-		}
-
-		got = c0.Clone()
-		fa := &fusedAcc{
-			rs:   make([]float64, sh.m),
-			cs:   make([]float64, sh.n),
-			asum: make([]float64, sh.k),
-			bsum: make([]float64, sh.k),
-		}
-		gemmPackedTile(got, a, b, 1, false, 4, fa)
-		if !bitEqual(got, want) {
-			t.Errorf("%dx%dx%d: fused 4x4 tile differs from naive loop (max diff %g)",
-				sh.m, sh.k, sh.n, maxDiff(got, want))
-		}
-		sumsClose(t, "rs", fa.rs, wantSums.RowSums, tol)
-		sumsClose(t, "cs", fa.cs, wantSums.ColSums, tol)
-		sumsClose(t, "asum", fa.asum, wantSums.ASums, tol)
-		sumsClose(t, "bsum", fa.bsum, wantSums.BSums, tol)
-	}
+// TestKernEdgeAllPartialTiles exercises every (rows, cols) fringe the 2×4
+// tile can produce, in both precisions — rows ∈ 1..4 (one or two row tiles
+// plus a partial), cols ∈ 1..4 — under the plain and fused packed paths,
+// asserting bit-equality with the scalar loop. Shapes are built so the
+// bottom-right fringe tile is exactly (rows mod mr, cols); k spans below,
+// at, and beyond one unroll quantum.
+func TestKernEdgeAllPartialTiles(t *testing.T) {
+	t.Run("f64", kernEdgeAllPartialTiles[float64])
+	t.Run("f32", kernEdgeAllPartialTiles[float32])
 }
 
-// TestKernEdgeAllPartialTiles exercises every (rows, cols) partial-tile
-// combination both tile heights can produce — rows ∈ 1..4, cols ∈ 1..4 —
-// under the plain and fused packed paths, asserting bit-equality with the
-// scalar loop. Shapes are built so the bottom-right fringe tile is exactly
-// (rows, cols); k spans below, at, and beyond one kc unroll quantum.
-func TestKernEdgeAllPartialTiles(t *testing.T) {
-	for _, tm := range []int{2, 4} {
-		for rows := 1; rows <= 4; rows++ {
-			for cols := 1; cols <= 4; cols++ {
-				for _, k := range []int{1, 3, 4, 9} {
-					m := tm + rows // one full tile row plus a partial of exactly `rows`
-					n := nr + cols // one full tile column plus a partial of exactly `cols`
-					a := Random(m, k, uint64(100*rows+10*cols+k))
-					b := Random(k, n, uint64(200*rows+20*cols+k))
-					c0 := Random(m, n, uint64(tm))
-					want := c0.Clone()
-					naiveMulAdd(want, a, b)
+func kernEdgeAllPartialTiles[T Float](t *testing.T) {
+	for rows := 1; rows <= 4; rows++ {
+		for cols := 1; cols <= 4; cols++ {
+			for _, k := range []int{1, 3, 4, 9} {
+				m := mr + rows // one full tile row plus `rows` more
+				n := nr + cols // one full tile column plus a partial of exactly `cols`
+				a := random[T](m, k, uint64(100*rows+10*cols+k))
+				b := random[T](k, n, uint64(200*rows+20*cols+k))
+				c0 := random[T](m, n, mr)
+				want := c0.Clone()
+				naiveMulAdd(want, a, b)
 
-					got := c0.Clone()
-					gemmPackedTile(got, a, b, 1, false, tm, nil)
-					if !bitEqual(got, want) {
-						t.Fatalf("tm=%d edge %dx%d k=%d: plain path differs from scalar loop", tm, rows, cols, k)
-					}
-
-					got = c0.Clone()
-					fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
-					gemmPackedTile(got, a, b, 1, false, tm, fa)
-					if !bitEqual(got, want) {
-						t.Fatalf("tm=%d edge %dx%d k=%d: fused path differs from scalar loop", tm, rows, cols, k)
-					}
-					wantSums := refSums(want, a, b)
-					tol := sumTol(m, k, n)
-					sumsClose(t, "rs", fa.rs, wantSums.RowSums, tol)
-					sumsClose(t, "cs", fa.cs, wantSums.ColSums, tol)
+				got := c0.Clone()
+				gemmPacked(got, a, b, 1, false, nil)
+				if !bitEqual(got, want) {
+					t.Fatalf("edge %dx%d k=%d: plain path differs from scalar loop", rows, cols, k)
 				}
+
+				got = c0.Clone()
+				fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
+				gemmPacked(got, a, b, 1, false, fa)
+				if !bitEqual(got, want) {
+					t.Fatalf("edge %dx%d k=%d: fused path differs from scalar loop", rows, cols, k)
+				}
+				wantSums := refSums(want, a, b)
+				tol := sumTol(m, k, n)
+				sumsClose(t, "rs", fa.rs, wantSums.RowSums, tol)
+				sumsClose(t, "cs", fa.cs, wantSums.ColSums, tol)
 			}
 		}
 	}
 }
 
 // TestKernEdgeNaNInfPropagation: partial tiles must propagate NaN/Inf
-// exactly like the scalar loop on both paths, and the fused checksums must
-// absorb the poison instead of masking it.
+// exactly like the scalar loop on both paths and in both precisions, and
+// the fused checksums must absorb the poison instead of masking it.
 func TestKernEdgeNaNInfPropagation(t *testing.T) {
-	for _, tm := range []int{2, 4} {
-		m, k, n := tm+1, 5, nr+3 // bottom and right fringes both partial
-		a := Random(m, k, 3)
-		b := Random(k, n, 4)
-		a.Set(m-1, 2, math.NaN()) // lands in the bottom partial tile
-		b.Set(1, n-1, math.Inf(1))
-		a.Set(0, 1, 0) // 0×Inf = NaN must not be skipped
-		c0 := Random(m, n, 5)
-		want := c0.Clone()
-		naiveMulAdd(want, a, b)
+	t.Run("f64", kernEdgeNaNInfPropagation[float64])
+	t.Run("f32", kernEdgeNaNInfPropagation[float32])
+}
 
-		got := c0.Clone()
-		gemmPackedTile(got, a, b, 1, false, tm, nil)
-		if !bitEqual(got, want) {
-			t.Fatalf("tm=%d: plain path NaN/Inf propagation differs from scalar loop", tm)
-		}
-		got = c0.Clone()
-		fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
-		gemmPackedTile(got, a, b, 1, false, tm, fa)
-		if !bitEqual(got, want) {
-			t.Fatalf("tm=%d: fused path NaN/Inf propagation differs from scalar loop", tm)
-		}
-		if !math.IsNaN(fa.rs[m-1]) {
-			t.Errorf("tm=%d: rs[%d] = %v, want NaN folded from poisoned row", tm, m-1, fa.rs[m-1])
-		}
-		if !math.IsNaN(fa.cs[n-1]) {
-			t.Errorf("tm=%d: cs[%d] = %v, want NaN folded from poisoned column", tm, n-1, fa.cs[n-1])
-		}
+func kernEdgeNaNInfPropagation[T Float](t *testing.T) {
+	m, k, n := mr+1, 5, nr+3 // bottom and right fringes both partial
+	a := random[T](m, k, 3)
+	b := random[T](k, n, 4)
+	a.Set(m-1, 2, T(math.NaN())) // lands in the bottom partial tile
+	b.Set(1, n-1, T(math.Inf(1)))
+	a.Set(0, 1, 0) // 0×Inf = NaN must not be skipped
+	c0 := random[T](m, n, 5)
+	want := c0.Clone()
+	naiveMulAdd(want, a, b)
+
+	got := c0.Clone()
+	gemmPacked(got, a, b, 1, false, nil)
+	if !bitEqual(got, want) {
+		t.Fatal("plain path NaN/Inf propagation differs from scalar loop")
+	}
+	got = c0.Clone()
+	fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
+	gemmPacked(got, a, b, 1, false, fa)
+	if !bitEqual(got, want) {
+		t.Fatal("fused path NaN/Inf propagation differs from scalar loop")
+	}
+	if !math.IsNaN(fa.rs[m-1]) {
+		t.Errorf("rs[%d] = %v, want NaN folded from poisoned row", m-1, fa.rs[m-1])
+	}
+	if !math.IsNaN(fa.cs[n-1]) {
+		t.Errorf("cs[%d] = %v, want NaN folded from poisoned column", n-1, fa.cs[n-1])
 	}
 }
 

@@ -67,14 +67,15 @@ func TestMulAddIntoFused32(t *testing.T) {
 		refMulAdd32(want, a, b)
 
 		c := New32(m, n)
-		fs := &FusedSums32{
+		fs := &FusedSums{
 			RowSums: make([]float64, m), ColSums: make([]float64, n),
 			AbsRowSums: make([]float64, m), AbsColSums: make([]float64, n),
 			ASums: make([]float64, k), BSums: make([]float64, k),
+			AMoments: &Moments{}, BMoments: &Moments{},
 		}
-		MulAddIntoFused32(c, a, b, fs)
+		MulAddIntoFused(c, a, b, fs)
 		SetParallelism(old)
-		bitsEqual32(t, c, want, "MulAddIntoFused32")
+		bitsEqual32(t, c, want, "MulAddIntoFused")
 
 		tol := 1e-9
 		for i := 0; i < m; i++ {

@@ -75,38 +75,6 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMTile compares the 2×4 and 4×4 micro-tiles, plain and fused,
-// at the default blocking — the measurement behind the defaultTile choice
-// (the 4×4's 16 accumulators spill on amd64's 16-register FP file).
-func BenchmarkGEMMTile(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		a := Random(n, n, 1)
-		bm := Random(n, n, 2)
-		c := New(n, n)
-		fa := &fusedAcc{
-			rs:   make([]float64, n),
-			cs:   make([]float64, n),
-			asum: make([]float64, n),
-			bsum: make([]float64, n),
-		}
-		flops := 2 * float64(n) * float64(n) * float64(n)
-		for _, tm := range []int{2, 4} {
-			b.Run(fmt.Sprintf("n=%d/tile=%dx4", n, tm), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					gemmPackedTile(c, a, bm, 1, false, tm, nil)
-				}
-				reportGFLOPS(b, flops)
-			})
-			b.Run(fmt.Sprintf("n=%d/tile=%dx4-fused", n, tm), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					gemmPackedTile(c, a, bm, 1, false, tm, fa)
-				}
-				reportGFLOPS(b, flops)
-			})
-		}
-	}
-}
-
 // BenchmarkGEMMFused measures the full fused entry point (checksum
 // accumulation + deterministic band reduction) against plain MulAddInto —
 // the kernel-layer half of the fused-vs-two-pass story.

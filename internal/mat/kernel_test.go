@@ -8,7 +8,7 @@ import (
 // naiveMulAdd is the scalar reference every GEMM path must match to the
 // bit: each element accumulates its k-products in ascending order starting
 // from the stored value.
-func naiveMulAdd(c, a, b *Matrix) {
+func naiveMulAdd[T Float](c, a, b *Dense[T]) {
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
 			s := c.At(i, j)
@@ -21,14 +21,15 @@ func naiveMulAdd(c, a, b *Matrix) {
 }
 
 // bitEqual compares element-wise by bit pattern, so NaNs compare equal to
-// themselves and −0 differs from +0.
-func bitEqual(a, b *Matrix) bool {
+// themselves and −0 differs from +0. Widening float32 to float64 is exact,
+// so one comparison serves both precisions.
+func bitEqual[T Float](a, b *Dense[T]) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
-			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+			if math.Float64bits(float64(a.At(i, j))) != math.Float64bits(float64(b.At(i, j))) {
 				return false
 			}
 		}

@@ -1,7 +1,8 @@
 // Package mat provides the dense linear algebra substrate used by the ABFT
-// kernels: a row-major float64 matrix type, blocked matrix multiplication,
-// Cholesky factorization, LU factorization with partial pivoting, triangular
-// solves, and the vector operations needed by conjugate gradient.
+// kernels: a row-major matrix type generic over float32 and float64,
+// blocked matrix multiplication, Cholesky factorization, LU factorization
+// with partial pivoting, triangular solves, and the vector operations needed
+// by conjugate gradient.
 //
 // It is written from scratch (no external BLAS) because the ABFT algorithms
 // in this repository need to interleave checksum maintenance and verification
@@ -14,60 +15,80 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major matrix of float64.
-type Matrix struct {
+// Float is the element type of a Dense matrix. float32 and float64 have
+// distinct GC shapes, so every generic kernel is compiled once per precision
+// with no dictionary lookups in its inner loops.
+type Float interface{ float32 | float64 }
+
+// Dense is a dense row-major matrix.
+type Dense[T Float] struct {
 	Rows, Cols int
 	// Stride is the distance in elements between vertically adjacent
 	// elements. For a freshly allocated matrix Stride == Cols; views share
 	// the parent's stride.
 	Stride int
-	Data   []float64
+	Data   []T
 }
 
-// New returns a zeroed r×c matrix.
-func New(r, c int) *Matrix {
+// Matrix is a dense row-major matrix of float64.
+type Matrix = Dense[float64]
+
+// Matrix32 is a dense row-major matrix of float32 — the storage type of the
+// mixed-precision serving path (ML-inference GEMM shapes). Arithmetic on it
+// runs in float32; the ABFT checksums guarding it are accumulated in float64
+// by the fused kernel (see fused.go), so detection precision does not
+// degrade with the data precision.
+type Matrix32 = Dense[float32]
+
+func newDense[T Float](r, c int) *Dense[T] {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	return &Matrix{Rows: r, Cols: c, Stride: c, Data: make([]float64, r*c)}
+	return &Dense[T]{Rows: r, Cols: c, Stride: c, Data: make([]T, r*c)}
 }
 
-// FromSlice wraps data (row-major, len r*c) in a Matrix without copying.
-func FromSlice(r, c int, data []float64) *Matrix {
+// New returns a zeroed r×c matrix.
+func New(r, c int) *Matrix { return newDense[float64](r, c) }
+
+// New32 returns a zeroed r×c float32 matrix.
+func New32(r, c int) *Matrix32 { return newDense[float32](r, c) }
+
+// FromSlice wraps data (row-major, len r*c) in a matrix without copying.
+func FromSlice[T Float](r, c int, data []T) *Dense[T] {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("mat: FromSlice: len(data)=%d, want %d", len(data), r*c))
 	}
-	return &Matrix{Rows: r, Cols: c, Stride: c, Data: data}
+	return &Dense[T]{Rows: r, Cols: c, Stride: c, Data: data}
 }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
+func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Stride+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Stride+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Stride+j] = v }
 
 // Add adds v to the element at row i, column j.
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Stride+j] += v }
+func (m *Dense[T]) Add(i, j int, v T) { m.Data[i*m.Stride+j] += v }
 
 // Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
+func (m *Dense[T]) Row(i int) []T { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
 
 // View returns an r×c submatrix starting at (i, j) sharing storage with m.
-func (m *Matrix) View(i, j, r, c int) *Matrix {
+func (m *Dense[T]) View(i, j, r, c int) *Dense[T] {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("mat: View(%d,%d,%d,%d) out of bounds for %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	if r == 0 || c == 0 {
-		return &Matrix{Rows: r, Cols: c, Stride: m.Stride}
+		return &Dense[T]{Rows: r, Cols: c, Stride: m.Stride}
 	}
 	off := i*m.Stride + j
 	end := (i+r-1)*m.Stride + j + c
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:end]}
+	return &Dense[T]{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:end]}
 }
 
 // Clone returns a deep copy of m with a compact stride.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	out := newDense[T](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i))
 	}
@@ -75,7 +96,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // CopyFrom copies src into m; dimensions must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
+func (m *Dense[T]) CopyFrom(src *Dense[T]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: CopyFrom dimension mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
@@ -85,7 +106,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Zero sets every element of m to zero.
-func (m *Matrix) Zero() {
+func (m *Dense[T]) Zero() {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -104,8 +125,8 @@ func Eye(n int) *Matrix {
 }
 
 // Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
+func (m *Dense[T]) Transpose() *Dense[T] {
+	out := newDense[T](m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Set(j, i, m.At(i, j))
@@ -114,14 +135,28 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// Equal reports whether a and b have the same shape and elements within tol.
-func Equal(a, b *Matrix, tol float64) bool {
+// To64 returns a float64 copy of m (the oracle-side representation).
+func (m *Dense[T]) To64() *Matrix {
+	out := New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		src, dst := m.Row(i), out.Row(i)
+		for j, v := range src {
+			dst[j] = float64(v)
+		}
+	}
+	return out
+}
+
+// Equal reports whether a and b have the same shape and elements within tol
+// (compared in float64).
+func Equal[T Float](a, b *Dense[T], tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
+		ra, rb := a.Row(i), b.Row(i)
+		for j := range ra {
+			if math.Abs(float64(ra[j])-float64(rb[j])) > tol {
 				return false
 			}
 		}
@@ -130,11 +165,11 @@ func Equal(a, b *Matrix, tol float64) bool {
 }
 
 // MaxAbs returns the largest absolute value in m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
+func (m *Dense[T]) MaxAbs() float64 {
 	max := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > max {
+			if a := math.Abs(float64(v)); a > max {
 				max = a
 			}
 		}
@@ -143,18 +178,19 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
+func (m *Dense[T]) FrobeniusNorm() float64 {
 	s := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			s += v * v
+			f := float64(v)
+			s += f * f
 		}
 	}
 	return math.Sqrt(s)
 }
 
 // String renders small matrices for debugging.
-func (m *Matrix) String() string {
+func (m *Dense[T]) String() string {
 	if m.Rows*m.Cols > 400 {
 		return fmt.Sprintf("Matrix{%dx%d}", m.Rows, m.Cols)
 	}
@@ -182,8 +218,14 @@ func SymmetricPositiveDefinite(n int, seed uint64) *Matrix {
 
 // Random returns an r×c matrix with deterministic pseudo-random entries in
 // [0, 1), generated from seed with a SplitMix64 stream.
-func Random(r, c int, seed uint64) *Matrix {
-	m := New(r, c)
+func Random(r, c int, seed uint64) *Matrix { return random[float64](r, c, seed) }
+
+// Random32 returns an r×c float32 matrix from the same stream as Random:
+// Random32(r, c, s) is elementwise float32(Random(r, c, s)).
+func Random32(r, c int, seed uint64) *Matrix32 { return random[float32](r, c, seed) }
+
+func random[T Float](r, c int, seed uint64) *Dense[T] {
+	m := newDense[T](r, c)
 	s := seed
 	for i := range m.Data {
 		s += 0x9e3779b97f4a7c15
@@ -191,7 +233,7 @@ func Random(r, c int, seed uint64) *Matrix {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		m.Data[i] = float64(z>>11) / float64(1<<53)
+		m.Data[i] = T(float64(z>>11) / float64(1<<53))
 	}
 	return m
 }
@@ -205,3 +247,44 @@ func DiagonallyDominant(n int, seed uint64) *Matrix {
 	}
 	return m
 }
+
+// Moments are magnitude statistics of one operand, gathered in float64
+// during the packing pass of the fused kernel. They are the inputs of the
+// V-ABFT-style adaptive detection threshold: the bound scales with the
+// root-mean-square of the operands (their variance proxy) instead of a
+// fixed epsilon, so low-magnitude panels get tight detection and
+// high-variance panels do not false-positive.
+type Moments struct {
+	Count  int     // elements observed
+	SumSq  float64 // Σ v²
+	MaxAbs float64 // max |v|
+}
+
+// Observe folds one value into the statistics.
+func (m *Moments) Observe(v float64) {
+	m.Count++
+	m.SumSq += v * v
+	if a := math.Abs(v); a > m.MaxAbs {
+		m.MaxAbs = a
+	}
+}
+
+// Merge folds another statistics block into m.
+func (m *Moments) Merge(o Moments) {
+	m.Count += o.Count
+	m.SumSq += o.SumSq
+	if o.MaxAbs > m.MaxAbs {
+		m.MaxAbs = o.MaxAbs
+	}
+}
+
+// MeanSq returns the mean square (0 for empty statistics).
+func (m Moments) MeanSq() float64 {
+	if m.Count == 0 {
+		return 0
+	}
+	return m.SumSq / float64(m.Count)
+}
+
+// RMS returns the root-mean-square magnitude.
+func (m Moments) RMS() float64 { return math.Sqrt(m.MeanSq()) }

@@ -8,7 +8,7 @@ import (
 // put into, lengths are honored, and odd sizes round up to the class cap.
 func TestBufPoolClassRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 100, 1 << 10, 1<<10 + 1, kcBlock * ncBlock} {
-		p := getBuf(n)
+		p := getBuf[float64](n)
 		if len(*p) != n {
 			t.Fatalf("getBuf(%d): len %d", n, len(*p))
 		}
@@ -26,7 +26,8 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 // *mix* of problem sizes must not allocate — the size-classed pools
 // guarantee a pooled buffer always fits, where the old single shared pool
 // could hand a small request's recycled buffer to a large request and force
-// a reallocation on every call.
+// a reallocation on every call. A float32 GEMM rides in the mix: each
+// precision must draw from its own pools, or every cross-type Get misses.
 func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; zero-alloc cannot hold")
@@ -44,10 +45,12 @@ func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
 			b: Random(sh.k, sh.n, uint64(sh.n)),
 		})
 	}
+	c32, a32, b32 := New32(64, 64), Random32(64, 64, 1), Random32(64, 64, 2)
 	withParallelism(1, func() {
 		run := func() {
 			for _, p := range probs {
 				MulAddInto(p.c, p.a, p.b)
+				MulAddInto32(c32, a32, b32)
 			}
 		}
 		run() // warm the pools
@@ -66,7 +69,7 @@ func BenchmarkBufPoolMixed(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p := getBuf(sizes[i%len(sizes)])
+			p := getBuf[float64](sizes[i%len(sizes)])
 			putBuf(p)
 		}
 	})

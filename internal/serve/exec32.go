@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -31,10 +32,6 @@ func (s *Service) runLadder32(j *job) (rep recovery.Report) {
 	p := j.req
 	restarts, corrections, injected := 0, 0, 0
 	for {
-		if err := j.ctx.Err(); err != nil {
-			return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
-				Restarts: restarts, RestartsTotal: restarts, Err: err}
-		}
 		g, err := abft.NewGEMM32(p.N, p.Seed)
 		if err != nil {
 			return recovery.Report{Outcome: recovery.Aborted, Err: err}
@@ -45,7 +42,7 @@ func (s *Service) runLadder32(j *job) (rep recovery.Report) {
 			// ladder's checkpoint replay.
 			injected = armPlan32(g, p)
 		}
-		runErr := g.Run()
+		runErr := runCancellable32(j.ctx, g)
 		corrections += len(g.Corrections)
 		if runErr != nil {
 			if !errors.Is(runErr, abft.ErrUncorrectable) {
@@ -62,11 +59,15 @@ func (s *Service) runLadder32(j *job) (rep recovery.Report) {
 		}
 		if p.Faults > 0 {
 			// Chaos requests are oracle-gated like the float64 ladder: the
-			// answer must match a pristine recomputation under the adaptive
+			// answer must match a recomputation from pristine operands
+			// (regenerated from the seed, so injected operand corruption
+			// cannot launder itself into the reference) under the adaptive
 			// element bound, or the request refuses rather than lie.
-			if err := oracle32(g, p); err != nil {
+			a, b := mat.Random32(p.N, p.N, p.Seed), mat.Random32(p.N, p.N, p.Seed+1)
+			if err := g.CheckAgainst(a, b); err != nil {
 				return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
-					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: err}
+					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts,
+					Err: fmt.Errorf("serve: f32 oracle: %w", err)}
 			}
 		}
 		rep = recovery.Report{Outcome: recovery.Corrected, Injected: injected,
@@ -122,23 +123,36 @@ func armPlan32(g *abft.GEMM32, p Parsed) int {
 	return len(plan)
 }
 
-// oracle32 recomputes the answer from pristine operands (regenerated from
-// the seed, so injected operand corruption cannot launder itself into the
-// reference) in float64 and compares under the adaptive element bound.
-func oracle32(g *abft.GEMM32, p Parsed) error {
-	a := mat.Random32(p.N, p.N, p.Seed)
-	b := mat.Random32(p.N, p.N, p.Seed+1)
-	ref := mat.New(p.N, p.N)
-	mat.MulAddInto(ref, a.To64(), b.To64())
-	am, bm := g.OperandMoments()
-	for i := 0; i < p.N; i++ {
-		for j := 0; j < p.N; j++ {
-			want := ref.At(i, j)
-			if math.Abs(float64(g.C.At(i, j))-want) > abft.ElementBound32(g.K, want, am, bm) {
-				return fmt.Errorf("serve: f32 oracle mismatch at (%d,%d): got %g want %g",
-					i, j, g.C.At(i, j), want)
-			}
+// ctxAbort32 is the panic payload that unwinds GEMM32.Run out of its
+// OnPanel hook when the request's context ends; it never escapes
+// runCancellable32.
+type ctxAbort32 struct{ cause error }
+
+// runCancellable32 runs g under ctx: the OnPanel hook checks the context at
+// every panel boundary, before any fault injection armed there, so a
+// request whose deadline passes mid-GEMM aborts at the next panel — the
+// step-boundary contract of Service.Do — with an error wrapping
+// recovery.ErrCancelled, as the float64 coordinator does.
+func runCancellable32(ctx context.Context, g *abft.GEMM32) (err error) {
+	inject := g.OnPanel
+	g.OnPanel = func(panel int) {
+		if err := ctx.Err(); err != nil {
+			panic(ctxAbort32{cause: err})
+		}
+		if inject != nil {
+			inject(panel)
 		}
 	}
-	return nil
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		ca, ok := p.(ctxAbort32)
+		if !ok {
+			panic(p)
+		}
+		err = fmt.Errorf("%w: %w", recovery.ErrCancelled, ca.cause)
+	}()
+	return g.Run()
 }
