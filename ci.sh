@@ -23,7 +23,11 @@ go test -race -short ./...
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race
 # detector, time-boxed so a hung run fails fast instead of stalling CI.
-go test -race -timeout 5m -run 'TestSoakShortDeterministic' ./internal/recovery/soak/
+# The same gate runs the platform differential: every Default soak cell, in
+# notified and fused modes, at soak and serving sizes, on the timed
+# cache/DRAM platform and on the functional platform requests are served
+# on. Any difference in a ladder decision or a delivered answer fails.
+go test -race -timeout 5m -run 'TestSoakShortDeterministic|TestSoakTimedMatchesFunctional' ./internal/recovery/soak/
 
 # Bench smoke: compile and run every benchmark once so the GFLOP/s suite
 # (kernel layer, tables/figures) can't silently rot.

@@ -113,15 +113,22 @@ func New(opts ...Option) *Engine {
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// tally accumulates per-cell timings under its own lock.
+// tally accumulates per-cell timings under its own lock — the engine's
+// bookkeeping lock. Progress callbacks run under it too, so they are
+// serialised and observe Done in order.
 type tally struct {
 	mu       sync.Mutex
+	workers  int
+	cells    int
+	start    time.Time
+	progress ProgressFunc
 	done     int
 	min, max time.Duration
 	busy     time.Duration
 }
 
-func (t *tally) add(d time.Duration) (done int) {
+// add records one completed cell and reports the snapshot it produced.
+func (t *tally) add(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.done++
@@ -132,17 +139,29 @@ func (t *tally) add(d time.Duration) (done int) {
 	if d > t.max {
 		t.max = d
 	}
-	return t.done
+	if t.progress != nil {
+		t.progress(t.snapshot())
+	}
 }
 
-func (t *tally) metrics(workers, cells int, start time.Time) Metrics {
+// finish returns the final metrics, reporting them as the last snapshot.
+func (t *tally) finish() Metrics {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	m := t.snapshot()
+	if t.progress != nil {
+		t.progress(m)
+	}
+	return m
+}
+
+// snapshot builds the current metrics; the caller holds t.mu.
+func (t *tally) snapshot() Metrics {
 	m := Metrics{
-		Workers:  workers,
-		Cells:    cells,
+		Workers:  t.workers,
+		Cells:    t.cells,
 		Done:     t.done,
-		Elapsed:  time.Since(start),
+		Elapsed:  time.Since(t.start),
 		MinCell:  t.min,
 		MaxCell:  t.max,
 		BusyTime: t.busy,
@@ -153,7 +172,7 @@ func (t *tally) metrics(workers, cells int, start time.Time) Metrics {
 	if s := m.Elapsed.Seconds(); s > 0 {
 		m.CellsPerSec = float64(t.done) / s
 	}
-	if denom := float64(workers) * m.Elapsed.Seconds(); denom > 0 {
+	if denom := float64(t.workers) * m.Elapsed.Seconds(); denom > 0 {
 		m.Utilization = t.busy.Seconds() / denom
 	}
 	return m
@@ -164,10 +183,9 @@ func (t *tally) metrics(workers, cells int, start time.Time) Metrics {
 // the remaining cells). It returns the final metrics and, on early stop, a
 // *PartialError.
 func (e *Engine) Run(ctx context.Context, n int, cell func(ctx context.Context, i int) error) (Metrics, error) {
-	start := time.Now()
-	var t tally
+	t := tally{workers: e.workers, cells: n, start: time.Now(), progress: e.progress}
 	if n <= 0 {
-		return t.metrics(e.workers, n, start), nil
+		return t.snapshot(), nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -199,18 +217,12 @@ func (e *Engine) Run(ctx context.Context, n int, cell func(ctx context.Context, 
 					return
 				}
 				t.add(time.Since(cellStart))
-				if e.progress != nil {
-					e.progress(t.metrics(e.workers, n, start))
-				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	m := t.metrics(e.workers, n, start)
-	if e.progress != nil {
-		e.progress(m)
-	}
+	m := t.finish()
 	if ep := firstErr.Load(); ep != nil {
 		return m, &PartialError{Done: m.Done, Total: n, Err: *ep}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -162,6 +163,35 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if lastDone.Load() != 20 {
 		t.Errorf("final progress done = %d", lastDone.Load())
+	}
+}
+
+// TestProgressCallbacksSerialised: WithProgress promises callbacks under
+// the engine's bookkeeping lock, so a callback may keep plain state with no
+// lock of its own (the race detector checks that) and sees Done in order,
+// ending at the final count.
+func TestProgressCallbacksSerialised(t *testing.T) {
+	const cells = 200
+	var calls, lastDone int
+	backwards := false
+	eng := New(WithWorkers(8), WithProgress(func(m Metrics) {
+		calls++
+		if m.Done < lastDone {
+			backwards = true
+		}
+		lastDone = m.Done
+	}))
+	if _, err := eng.Run(context.Background(), cells, func(_ context.Context, i int) error {
+		runtime.Gosched()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if backwards {
+		t.Error("progress Done went backwards")
+	}
+	if lastDone != cells || calls != cells+1 {
+		t.Errorf("final Done %d after %d calls, want %d after %d", lastDone, calls, cells, cells+1)
 	}
 }
 

@@ -312,6 +312,11 @@ type Gateway struct {
 	quit      chan struct{}
 	probeWG   sync.WaitGroup
 	closeOnce sync.Once
+	// healthHold is read-held while a background health signal (a probe
+	// result or an event-stream death mark) is applied; holding it for
+	// writing freezes both, which tests use to isolate request-path
+	// failover.
+	healthHold sync.RWMutex
 
 	// Async jobs (the /v1/jobs surface).
 	jobMu     sync.Mutex

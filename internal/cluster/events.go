@@ -101,6 +101,8 @@ func (g *Gateway) watchOnce(nd *node) {
 		return // shutdown tore the stream down; not a death
 	default:
 	}
+	g.healthHold.RLock()
+	defer g.healthHold.RUnlock()
 	nd.healthy.Store(false)
 	nd.m.Healthy.Set(0)
 	g.m.NodeDeaths.Add(1)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,11 +23,24 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// holdHealth freezes the gateway's background health signals (probe
+// results and event-stream death marks) until the returned release runs;
+// release also runs at cleanup, ahead of the gateway's Close.
+func holdHealth(t *testing.T, g *Gateway) (release func()) {
+	g.healthHold.Lock()
+	var once sync.Once
+	release = func() { once.Do(g.healthHold.Unlock) }
+	t.Cleanup(release)
+	return release
+}
+
 // TestThreeNodeFailoverAndRejoin is the in-process version of the CI
 // chaos smoke: kill the node that owns a key mid-stream, require every
-// subsequent request to still classify (zero wrong answers), watch the
-// probe mark it unhealthy, restart it on the same address, and require
-// placement to return to it.
+// subsequent request to still classify (zero wrong answers), probe it
+// unhealthy, restart it on the same address, and require placement to
+// return to it. Background health signals are held during the outage, so
+// the first requests must discover the dead node on the request path and
+// fail over live; one explicit probe step then marks it down.
 func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 	nodes := make([]*restartableNode, 3)
 	cfgs := make([]NodeConfig, 3)
@@ -69,6 +83,7 @@ func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 			victim = nodes[i]
 		}
 	}
+	release := holdHealth(t, g)
 	victim.kill() // SIGKILL analogue: connections refused, no drain
 
 	// Every request during the outage must still classify; the first few
@@ -95,10 +110,14 @@ func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 		t.Fatalf("node %s missing from status", id)
 		return NodeStatus{}
 	}
-	waitFor(t, "probe to mark "+owner+" unhealthy", func() bool { return !statusOf(owner).Healthy })
+	g.probe(g.byID[owner])
+	if statusOf(owner).Healthy {
+		t.Errorf("probe left killed node %s healthy", owner)
+	}
 	if g.m.Node(owner).TransportErrors.Value() == 0 {
 		t.Error("killed node recorded no transport errors")
 	}
+	release()
 
 	victim.start() // restart on the same address
 	waitFor(t, "probe to mark "+owner+" healthy again", func() bool {

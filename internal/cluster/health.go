@@ -26,7 +26,9 @@ func (g *Gateway) probeLoop(nd *node) {
 	for {
 		select {
 		case <-t.C:
+			g.healthHold.RLock()
 			g.probe(nd)
+			g.healthHold.RUnlock()
 		case <-g.quit:
 			return
 		}

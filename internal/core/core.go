@@ -128,10 +128,23 @@ type Runtime struct {
 	Injector *bifit.Injector
 }
 
-// NewRuntime builds a node configured for the strategy.
+// NewRuntime builds a node configured for the strategy on the timed
+// platform (machine.New), which the paper's evaluation measures.
 func NewRuntime(cfg machine.Config, s Strategy, seed int64) *Runtime {
 	cfg.DefaultScheme = s.DefaultScheme()
-	m := machine.New(cfg)
+	return bind(machine.New(cfg), s, seed)
+}
+
+// NewFunctionalRuntime builds the same node on the functional platform
+// (machine.NewFunctional): identical ECC, OS and injection behaviour under
+// the flush-after-inject contract, without the cache/DRAM timing model.
+// Request serving runs here.
+func NewFunctionalRuntime(cfg machine.Config, s Strategy, seed int64) *Runtime {
+	cfg.DefaultScheme = s.DefaultScheme()
+	return bind(machine.NewFunctional(cfg), s, seed)
+}
+
+func bind(m *machine.Machine, s Strategy, seed int64) *Runtime {
 	rt := &Runtime{Strategy: s, M: m, Injector: bifit.New(m.OS, seed)}
 	rt.Injector.InstallRepairHandler(m.Ctl)
 	return rt

@@ -1,7 +1,15 @@
-// Package machine assembles the full evaluation platform of Figure 4 —
+// Package machine assembles the simulated node in two platforms.
+//
+// The timed platform (New) is the full evaluation platform of Figure 4 —
 // the McSim + DRAMSim2 substitute: an in-order core, the L1/L2 hierarchy,
 // the ECC-aware memory controller, the DRAM timing/power model, and the OS
 // model, all driven by the instrumentation probes the ABFT kernels emit.
+//
+// The functional platform (NewFunctional) keeps what the cooperative
+// runtime itself needs — the OS model, address translation and the memory
+// controller's ECC regions, fault map, codecs and error registers — and
+// drops the cache hierarchy, DRAM timing and core cycle accounting. It
+// serves requests; the timed platform produces the paper's figures.
 package machine
 
 import (
@@ -70,6 +78,11 @@ type Machine struct {
 	tlb        map[uint64]uint64 // tiny page-translation cache
 	curVaddr   uint64            // vaddr of the access currently in flight
 	interrupts uint64
+
+	// decoded is the functional platform's stand-in for the cache: the
+	// physical lines already decoded since the last FlushCaches. It is nil
+	// on the timed platform.
+	decoded map[uint64]struct{}
 }
 
 // New builds a machine.
@@ -99,6 +112,40 @@ func New(cfg Config) *Machine {
 	return m
 }
 
+// NewFunctional builds the functional platform: the same OS model, memory
+// controller and address translation as New, without the cache hierarchy,
+// DRAM timing/power model or core (Core and Hier stay nil; cfg's CPU and
+// cache levels are unused).
+//
+// Decode rule: a line in the controller's fault map is decoded on its first
+// touch, read or write, since the last FlushCaches — the touch that would
+// miss the flushed caches of the timed platform — through the same
+// Controller path a demand fill takes, chipkill companion line included.
+// While the fault map is empty the Memory probe is nil, so a touch costs
+// one branch; FlushCaches arms it when faults are present and it disarms
+// itself once they are gone. Faults therefore become visible after the
+// FlushCaches that follows their injection, as on the timed platform.
+func NewFunctional(cfg Config) *Machine {
+	m := &Machine{
+		cfg:     cfg,
+		tlb:     make(map[uint64]uint64),
+		decoded: make(map[uint64]struct{}),
+	}
+	m.Ctl = memctrl.New(dram.New(cfg.DRAM), cfg.DefaultScheme)
+	m.OS = osmodel.New(m.Ctl)
+	osHandler := m.Ctl.OnUncorr
+	m.Ctl.OnUncorr = func(rec memctrl.ErrorRecord) {
+		m.interrupts++
+		osHandler(rec)
+	}
+	m.OS.OnRemap = func(vpage uint64) { delete(m.tlb, vpage) }
+	m.mem = &trace.Memory{}
+	return m
+}
+
+// functional reports whether m is the functional platform.
+func (m *Machine) functional() bool { return m.decoded != nil }
+
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -126,6 +173,26 @@ func (m *Machine) probe(vaddr uint64, write bool) {
 	case cache.LevelMemory:
 		// Timing handled in handleMiss via the MSHR window.
 	}
+}
+
+// decodeProbe is the functional platform's probe: the first touch of a
+// line since the last flush decodes it. It disarms itself once the fault
+// map is empty.
+func (m *Machine) decodeProbe(vaddr uint64, _ bool) {
+	if m.Ctl.FaultyLines() == 0 {
+		m.mem.Probe = nil
+		return
+	}
+	paddr, ok := m.translate(vaddr)
+	if !ok {
+		return
+	}
+	line := paddr &^ (trace.LineSize - 1)
+	if _, seen := m.decoded[line]; seen {
+		return
+	}
+	m.decoded[line] = struct{}{}
+	m.Ctl.Decode(line)
 }
 
 // handleMiss services the L2 miss stream at the memory controller.
@@ -161,7 +228,17 @@ func (m *Machine) translate(vaddr uint64) (uint64, bool) {
 // FlushCaches writes back all dirty lines and empties the hierarchy, so
 // subsequent reads observe memory contents (used between program phases and
 // by fault-injection campaigns: a DRAM error is only visible on a fetch).
+// On the functional platform it starts a new decode epoch and arms the
+// decode probe if the fault map holds any line.
 func (m *Machine) FlushCaches() {
+	if m.functional() {
+		clear(m.decoded)
+		m.mem.Probe = nil
+		if m.Ctl.FaultyLines() > 0 {
+			m.mem.Probe = m.decodeProbe
+		}
+		return
+	}
 	m.Hier.Flush()
 }
 
@@ -190,8 +267,12 @@ func (r Result) MemEnergyJ() float64 { return r.MemDynamicJ + r.MemStandbyJ }
 
 // Finish drains outstanding misses, charges standby energy, and returns the
 // run summary. The machine can keep running afterwards, but energy totals
-// are only consistent at Finish points.
+// are only consistent at Finish points. On the functional platform only the
+// event counters (Interrupts, ECC, OS) are filled in.
 func (m *Machine) Finish() Result {
+	if m.functional() {
+		return Result{Interrupts: m.interrupts, ECC: m.Ctl.Stats(), OS: m.OS.Stats()}
+	}
 	m.Core.Drain()
 	st := m.Ctl.Mem.Finalize(m.Core.Now(), m.cfg.CPU.ClockHz)
 	r := Result{

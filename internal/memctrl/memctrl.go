@@ -260,15 +260,26 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, demand bool) dr
 	scheme := c.SchemeFor(addr)
 	res := c.Mem.Access(now, addr, write, scheme)
 	if !write && demand {
-		c.checkECC(addr, scheme, res.Complete)
-		// A chipkill access also returns (and therefore checks) the
-		// companion line of the lock-stepped pair.
-		if scheme == ecc.Chipkill {
-			comp := c.Mem.Config().CompanionLine(addr)
-			c.checkECC(comp, c.SchemeFor(comp), res.Complete)
-		}
+		c.decode(addr, scheme, res.Complete)
 	}
 	return res
+}
+
+// Decode runs the ECC check of a demand read of addr's line without the
+// DRAM timing model — the functional platform's fill path. Error records it
+// raises carry cycle 0.
+func (c *Controller) Decode(addr uint64) {
+	c.decode(addr, c.SchemeFor(addr), 0)
+}
+
+// decode checks addr's line under scheme and, for chipkill, the companion
+// line of the lock-stepped pair, which the same access also returns.
+func (c *Controller) decode(addr uint64, scheme ecc.Scheme, cycle uint64) {
+	c.checkECC(addr, scheme, cycle)
+	if scheme == ecc.Chipkill {
+		comp := c.Mem.Config().CompanionLine(addr)
+		c.checkECC(comp, c.SchemeFor(comp), cycle)
+	}
 }
 
 // checkECC runs the scheme's codec against the line's residual pattern.

@@ -222,7 +222,7 @@ func runCell(cfg Config, i int) RunResult {
 			}
 			done <- r
 		}()
-		r.Report = runOne(cfg, kernel, strat, kind, count, campaign.CellSeed(cfg.Seed, uint64(i)))
+		r.Report, _ = runOne(cfg, core.NewRuntime, kernel, strat, kind, count, campaign.CellSeed(cfg.Seed, uint64(i)))
 	}()
 
 	select {
@@ -234,10 +234,15 @@ func runCell(cfg Config, i int) RunResult {
 	}
 }
 
+// runtimeFunc is a core runtime constructor: it picks the platform a cell
+// runs on (core.NewRuntime for the timed one).
+type runtimeFunc func(machine.Config, core.Strategy, int64) *core.Runtime
+
 // runOne builds runtime + workload + injection plan for one cell and drives
-// the coordinator.
-func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, count int, seed uint64) recovery.Report {
-	rt := core.NewRuntime(machine.ScaledConfig(32), strat, int64(seed))
+// the coordinator. The workload is returned with the report (nil when
+// construction failed) so its answer can be fingerprinted.
+func runOne(cfg Config, newRuntime runtimeFunc, kernel Kernel, strat core.Strategy, kind bifit.Kind, count int, seed uint64) (recovery.Report, recovery.Workload) {
+	rt := newRuntime(machine.ScaledConfig(32), strat, int64(seed))
 	var w recovery.Workload
 	var err error
 	switch kernel {
@@ -249,7 +254,7 @@ func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, cou
 		w, err = recovery.NewDGEMMWorkload(rt, cfg.DGEMMN, seed, cfg.DGEMMMode)
 	}
 	if err != nil {
-		return recovery.Report{Outcome: recovery.Aborted, Err: err}
+		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil
 	}
 
 	// Seed-deterministic plan: error timing, target and element all come
@@ -276,7 +281,7 @@ func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, cou
 		CheckpointEvery: cfg.CheckpointEvery,
 		MaxRestarts:     cfg.MaxRestarts,
 	}
-	return co.Run()
+	return co.Run(), w
 }
 
 // Table renders the deterministic outcome table: one row per

@@ -14,7 +14,7 @@ import (
 )
 
 // execute runs one admitted request through the recovery ladder and
-// classifies it. Every request gets a fresh simulated node configured for
+// classifies it. Every request gets a fresh functional node configured for
 // its own ECC strategy — the per-request malloc_ecc decision — so
 // concurrent requests share no machine state.
 func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
@@ -74,7 +74,10 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 
 // runLadder builds runtime + workload + injection plan and drives the
 // coordinator under a panic guard: a kernel panic becomes an Aborted
-// classification, never a crashed worker. The workload is returned
+// classification, never a crashed worker. The runtime is the functional
+// platform: the same ECC, OS and recovery behaviour as the timed one
+// (TestSoakTimedMatchesFunctional holds them equal) without paying for the
+// cache/DRAM timing model on every request. The workload is returned
 // alongside the report so the integrity tier can fingerprint its answer
 // state; it is nil when construction failed or the kernel panicked.
 func (s *Service) runLadder(j *job) (rep recovery.Report, w recovery.Workload) {
@@ -87,7 +90,7 @@ func (s *Service) runLadder(j *job) (rep recovery.Report, w recovery.Workload) {
 	}()
 
 	p := j.req
-	rt := core.NewRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
 	var err error
 	switch p.Kernel {
 	case KernelCholesky:

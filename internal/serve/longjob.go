@@ -149,6 +149,9 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 	}()
 	start := time.Now()
 
+	// Long jobs stay on the timed platform (single requests run on the
+	// functional one, see runLadder): the migrate-vs-cold-restart chaos
+	// gate needs a solve long enough for a SIGKILL to land mid-job.
 	rt := core.NewRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
 	w, err := recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
 	if err != nil {

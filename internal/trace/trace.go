@@ -103,15 +103,20 @@ func (m *Memory) Ops(n int) {
 	m.OnOps(n)
 }
 
-// Touch reports an access to bytes [addr, addr+size).
+// Touch reports an access to bytes [addr, addr+size). It reads Probe once,
+// so a probe may clear m.Probe (disarm itself) partway through a range.
 func (m *Memory) Touch(addr uint64, size int, write bool) {
-	if m == nil || m.Probe == nil || size <= 0 {
+	if m == nil || size <= 0 {
+		return
+	}
+	probe := m.Probe
+	if probe == nil {
 		return
 	}
 	first := addr &^ (LineSize - 1)
 	last := (addr + uint64(size) - 1) &^ (LineSize - 1)
 	for line := first; line <= last; line += LineSize {
-		m.Probe(line, write)
+		probe(line, write)
 	}
 }
 

@@ -70,6 +70,27 @@ func TestMemoryTouchLineGranularity(t *testing.T) {
 	}
 }
 
+// TestTouchProbeMayDisarmItself: Touch reads Probe once per call, so a
+// probe that clears it mid-range finishes that range and the next Touch
+// reports nothing.
+func TestTouchProbeMayDisarmItself(t *testing.T) {
+	var n int
+	m := &Memory{}
+	m.Probe = func(addr uint64, write bool) {
+		n++
+		m.Probe = nil
+	}
+	m.Touch(0, 4*LineSize, false)
+	if n != 4 {
+		t.Fatalf("disarming probe saw %d of 4 lines", n)
+	}
+	m.Touch(0, 4*LineSize, false)
+	m.TouchStrided(Region{}, 0, 4, 10, true)
+	if n != 4 {
+		t.Errorf("disarmed probe called again: %d events", n)
+	}
+}
+
 func TestMemoryNilSafe(t *testing.T) {
 	var m *Memory
 	m.Touch(0, 64, false) // must not panic
